@@ -122,14 +122,47 @@ void Server::acceptLoop() {
       break;
     }
     OBS_COUNT("serve.connections");
+    reapFinished();
     std::lock_guard<std::mutex> lock(connMu_);
     if (draining_.load()) {  // drain won the race: refuse late arrivals
       ::close(fd);
       break;
     }
-    connFds_.push_back(fd);
-    connections_.emplace_back([this, fd] { serveConnection(fd); });
+    // The thread's epilogue takes connMu_ too, so it cannot retire itself
+    // before its entry exists.
+    const std::uint64_t id = nextConnId_++;
+    Conn& c = connections_[id];
+    c.fd = fd;
+    c.thread = std::thread([this, fd, id] {
+      serveConnection(fd);
+      retireConnection(id);
+    });
   }
+}
+
+void Server::retireConnection(std::uint64_t id) {
+  std::lock_guard<std::mutex> lock(connMu_);
+  const auto it = connections_.find(id);
+  // Closed under the lock: drain() never shutdown()s a reused fd number.
+  ::close(it->second.fd);
+  finished_.push_back(std::move(it->second.thread));
+  connections_.erase(it);
+  connDone_.notify_all();
+}
+
+void Server::reapFinished() {
+  std::vector<std::thread> done;
+  {
+    std::lock_guard<std::mutex> lock(connMu_);
+    done.swap(finished_);
+  }
+  // Each has left connMu_ and is returning from its lambda.
+  for (std::thread& t : done) t.join();
+}
+
+std::size_t Server::retainedConnectionThreads() {
+  std::lock_guard<std::mutex> lock(connMu_);
+  return connections_.size() + finished_.size();
 }
 
 void Server::serveConnection(int fd) {
@@ -170,7 +203,6 @@ void Server::serveConnection(int fd) {
   } catch (const std::exception&) {
     // Torn frame or dead peer: drop the connection; the server survives.
   }
-  ::close(fd);
 }
 
 GenerateResponse Server::handleGenerate(GenerateRequest req) {
@@ -356,16 +388,16 @@ void Server::drain() {
   // the dispatcher drains the queue before exiting.
   {
     std::lock_guard<std::mutex> lock(connMu_);
-    for (const int fd : connFds_) ::shutdown(fd, SHUT_RD);
+    for (const auto& [id, c] : connections_) ::shutdown(c.fd, SHUT_RD);
   }
   queueCv_.notify_all();
   if (dispatcher_.joinable()) dispatcher_.join();
   {
-    std::lock_guard<std::mutex> lock(connMu_);
-    for (std::thread& t : connections_) t.join();
-    connections_.clear();
-    connFds_.clear();
+    // Every open connection now reads EOF and retires itself.
+    std::unique_lock<std::mutex> lock(connMu_);
+    connDone_.wait(lock, [this] { return connections_.empty(); });
   }
+  reapFinished();
   if (wakePipe_[0] >= 0) ::close(wakePipe_[0]);
   if (wakePipe_[1] >= 0) ::close(wakePipe_[1]);
   wakePipe_[0] = wakePipe_[1] = -1;

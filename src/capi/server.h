@@ -4,7 +4,8 @@
 // flag-parsing shell around this class).
 //
 // Threading model.  One acceptor thread owns the listening socket and
-// spawns a thread per connection; connection threads decode frames and
+// spawns a thread per connection (joining the threads of connections that
+// have ended as it goes); connection threads decode frames and
 // *enqueue* generation work.  A single dispatcher thread drains the
 // queue, coalescing everything pending into one amg_generate_batch call —
 // the batch engine's worker pool (util/thread_pool.h is a one-controller
@@ -21,6 +22,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -71,6 +73,9 @@ class Server {
   void wait();
 
   bool draining() const { return draining_.load(); }
+  /// Connection threads not yet joined, open or ended (tests: ended
+  /// connections must not accumulate).
+  std::size_t retainedConnectionThreads();
   const ServerConfig& config() const { return cfg_; }
   StatsResponse statsSnapshot();
 
@@ -80,6 +85,11 @@ class Server {
   void acceptLoop();
   void dispatchLoop();
   void serveConnection(int fd);
+  /// Connection epilogue: close `fd` and hand the calling thread to
+  /// finished_.
+  void retireConnection(std::uint64_t id);
+  /// Join the threads of connections that ended since the last call.
+  void reapFinished();
   GenerateResponse handleGenerate(GenerateRequest req);
 
   ServerConfig cfg_;
@@ -97,9 +107,20 @@ class Server {
   std::atomic<bool> stopped_{false};
   std::thread acceptor_;
   std::thread dispatcher_;
+  /// One open connection: its thread and its fd (for drain's shutdown()).
+  struct Conn {
+    std::thread thread;
+    int fd = -1;
+  };
   std::mutex connMu_;
-  std::vector<std::thread> connections_;
-  std::vector<int> connFds_;  ///< open connection fds, for drain shutdown()
+  /// Signalled whenever a connection ends (drain waits for none left).
+  std::condition_variable connDone_;
+  std::uint64_t nextConnId_ = 0;
+  std::map<std::uint64_t, Conn> connections_;
+  /// Threads of ended connections, joined by the acceptor at its next
+  /// accept (a thread cannot join itself) or by drain(): each one keeps
+  /// its stack mapped until joined.
+  std::vector<std::thread> finished_;
 
   std::mutex statsMu_;
   std::uint64_t requestsServed_ = 0;

@@ -1,6 +1,7 @@
 #include "compact/compactor.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <set>
@@ -135,21 +136,28 @@ std::vector<Constraint> computeConstraints(const Module& target, const Module& o
   return out;
 }
 
+constexpr Coord kFar = std::numeric_limits<Coord>::max() / 2;
+
 /// A query window covering everything within `halo` of `b` on the cross
-/// axis of `dir`, unbounded along the movement axis: a constraint exists
-/// regardless of how far along the movement axis the pair sits, so the
-/// index may prune on the cross axis only (SpatialIndex clamps the
-/// unbounded axis to its content bounds).
-Box crossBand(Dir d, const Box& b, Coord halo) {
-  constexpr Coord kFar = std::numeric_limits<Coord>::max() / 2;
-  if (isHorizontal(d)) return Box{-kFar, b.y1 - halo, kFar, b.y2 + halo};
-  return Box{b.x1 - halo, -kFar, b.x2 + halo, kFar};
+/// axis of `dir`, and along the movement axis every box whose canonical
+/// extent reaches [uFrom, uTo] (stationaryFront >= uFrom and leadingEdge
+/// <= uTo; kFar bounds mean open, which SpatialIndex clamps to its content
+/// bounds).
+Box axisWindow(Dir d, const Box& b, Coord halo, Coord uFrom, Coord uTo) {
+  const Coord lo = std::max(uFrom, -kFar), hi = std::min(uTo, kFar);
+  switch (d) {
+    case Dir::West: return Box{lo, b.y1 - halo, hi, b.y2 + halo};
+    case Dir::East: return Box{-hi, b.y1 - halo, -lo, b.y2 + halo};
+    case Dir::South: return Box{b.x1 - halo, lo, b.x2 + halo, hi};
+    case Dir::North: return Box{b.x1 - halo, -hi, b.x2 + halo, -lo};
+  }
+  return {};
 }
 
-/// The index over the stationary target used by one compact() call.  Built
-/// once up front; it stays valid through the variable-edge loop because
-/// edges only ever *shrink* there (a stale larger box makes the candidate
-/// set a superset, and the exact rule test runs on current boxes).
+/// The session index over the stationary target.  It stays a superset
+/// through every mutation a step makes: variable edges only ever *shrink*
+/// (a stale larger box widens the candidate set, and the exact rule test
+/// runs on current boxes), and grown or re-created shapes are re-inserted.
 geom::SpatialIndex buildTargetIndex(const Module& target) {
   geom::SpatialIndex idx;
   for (ShapeId id : target.shapeIds())
@@ -157,51 +165,107 @@ geom::SpatialIndex buildTargetIndex(const Module& target) {
   return idx;
 }
 
-/// Index-pruned twin of computeConstraints(): candidate targets come from a
-/// cross-axis band query with the per-layer max-rule halo, then the exact
-/// brute-force predicate runs on each candidate.  Output is re-sorted to
-/// the brute-force (target, object) pair order so downstream variable-edge
-/// shrinking is byte-identical.
-std::vector<Constraint> computeConstraintsIndexed(const Module& target,
-                                                  const Module& obj, Dir dir,
-                                                  const Options& opt,
-                                                  const geom::SpatialIndex& idx) {
-  const RuleCache& rc = target.technology().rules();
-  const std::vector<NetId> netMap = matchNets(target, obj);
-  std::vector<Constraint> out;
-  std::vector<std::uint32_t> cand;
-  std::uint64_t candTotal = 0;
-  for (ShapeId oi : obj.shapeIds()) {
-    const Shape& os = obj.shape(oi);
-    const Coord halo = std::max<Coord>(0, rc.maxSpacing(os.layer) + opt.extraGap);
-    idx.query(crossBand(dir, os.box, halo), cand);
-    candTotal += cand.size();
-    for (const std::uint32_t ti : cand) {
-      // A session-held index keeps ids retired by array rebuilds; brute
-      // force iterates shapeIds(), which is alive-only.
-      if (!target.isAlive(ti)) continue;
-      const Shape& ts = target.shape(ti);
-      const bool sameNet =
-          os.net != db::kNoNet && netMap[os.net] != db::kNoNet && netMap[os.net] == ts.net;
-      const auto gap = requiredGap(rc, ts, os, sameNet, opt);
-      if (!gap) continue;
-      if (crossGap(dir, ts.box, os.box) >= *gap) continue;
-      const Coord need = stationaryFront(dir, ts.box) + *gap - leadingEdge(dir, os.box);
-      out.push_back(Constraint{need, ti, oi});
+/// Largest and second-largest distinct `need`, kNone when absent.
+void extremes(const std::vector<Constraint>& cons, Coord& fmax, Coord& f2) {
+  fmax = kNone;
+  f2 = kNone;
+  for (const Constraint& c : cons) {
+    if (c.need > fmax) {
+      f2 = fmax;
+      fmax = c.need;
+    } else if (c.need > f2 && c.need < fmax) {
+      f2 = c.need;
     }
   }
-  std::sort(out.begin(), out.end(), [](const Constraint& a, const Constraint& b) {
+}
+
+/// The constraints one step can be decided by, found at frontier cost.
+///
+/// A pair (t, o) needs  stationaryFront(t) + gap - leadingEdge(o)  with
+/// gap <= halo(o), so every pair whose need reaches a threshold `floor`
+/// has its target shape within  floor - halo(o) + leadingEdge(o)  of the
+/// structure's outer edge.  Each object shape therefore queries its cross
+/// band only that deep along the movement axis, starting just behind the
+/// outer edge (the index bounds) and doubling the depth until the answer
+/// is exact: the largest need and every binding pair once fmax >= floor,
+/// the second-largest distinct need once f2 >= floor (asked for only when
+/// the variable-edge loop will read it), or everything once the window
+/// spans the whole target.  Pairs below `floor` may be partial; nothing
+/// downstream reads them.  Output is sorted in brute-force (target,
+/// object) pair order so the variable-edge loop is byte-identical.
+struct Frontier {
+  std::vector<Constraint> cons;
+  Coord fmax = kNone;
+  Coord f2 = kNone;
+};
+
+Frontier frontierConstraints(const Module& target, const Module& obj, Dir dir,
+                             const Options& opt, const geom::SpatialIndex& idx,
+                             const std::function<bool(const Frontier&)>& needF2) {
+  const RuleCache& rc = target.technology().rules();
+  const std::vector<NetId> netMap = matchNets(target, obj);
+  const std::vector<ShapeId> objIds = obj.shapeIds();
+  std::vector<Coord> halo(objIds.size());
+  // The deepest useful threshold (every pair admitted by a window that
+  // reaches past the whole target) and the shallowest one (a target shape
+  // on the outer edge at the full halo).
+  const Coord uLo = leadingEdge(dir, idx.bounds());
+  const Coord uHi = stationaryFront(dir, idx.bounds());
+  Coord fullFloor = kFar, ceiling = -kFar;
+  for (std::size_t k = 0; k < objIds.size(); ++k) {
+    const Shape& os = obj.shape(objIds[k]);
+    halo[k] = std::max<Coord>(0, rc.maxSpacing(os.layer) + opt.extraGap);
+    fullFloor = std::min(fullFloor, uLo + halo[k] - leadingEdge(dir, os.box));
+    ceiling = std::max(ceiling, uHi + halo[k] - leadingEdge(dir, os.box));
+  }
+
+  Frontier f;
+  std::vector<std::uint32_t> cand;
+  std::uint64_t candTotal = 0, passes = 0;
+  for (Coord depth = geom::SpatialIndex::kDefaultCellSize;; depth *= 2) {
+    const bool full = idx.empty() || ceiling - depth <= fullFloor;
+    const Coord floor = full ? kNone : ceiling - depth;
+    ++passes;
+    f.cons.clear();
+    for (std::size_t k = 0; k < objIds.size(); ++k) {
+      const ShapeId oi = objIds[k];
+      const Shape& os = obj.shape(oi);
+      const Coord uFrom = full ? -kFar : floor - halo[k] + leadingEdge(dir, os.box);
+      if (uFrom > uHi) continue;  // no target shape can reach the floor
+      idx.query(axisWindow(dir, os.box, halo[k], uFrom, kFar), cand);
+      candTotal += cand.size();
+      for (const std::uint32_t ti : cand) {
+        // The session index keeps ids retired by array rebuilds; brute
+        // force iterates shapeIds(), which is alive-only.
+        if (!target.isAlive(ti)) continue;
+        const Shape& ts = target.shape(ti);
+        const bool sameNet = os.net != db::kNoNet && netMap[os.net] != db::kNoNet &&
+                             netMap[os.net] == ts.net;
+        const auto gap = requiredGap(rc, ts, os, sameNet, opt);
+        if (!gap) continue;
+        if (crossGap(dir, ts.box, os.box) >= *gap) continue;
+        const Coord need = stationaryFront(dir, ts.box) + *gap - leadingEdge(dir, os.box);
+        f.cons.push_back(Constraint{need, ti, oi});
+      }
+    }
+    extremes(f.cons, f.fmax, f.f2);
+    if (full) break;
+    if (f.cons.empty() || f.fmax < floor) continue;
+    if (f.f2 >= floor || !needF2(f)) break;
+  }
+  std::sort(f.cons.begin(), f.cons.end(), [](const Constraint& a, const Constraint& b) {
     return a.targetShape != b.targetShape ? a.targetShape < b.targetShape
                                           : a.objShape < b.objShape;
   });
   const auto universe =
-      static_cast<std::uint64_t>(target.shapeCount()) * obj.shapeCount();
+      static_cast<std::uint64_t>(target.shapeCount()) * objIds.size();
   OBS_COUNT_N("compact.constraints.universe", universe);
   OBS_COUNT_N("compact.constraints.candidates", candTotal);
   if (universe > candTotal)
     OBS_COUNT_N("compact.constraints.pruned", universe - candTotal);
-  OBS_COUNT_N("compact.constraints.emitted", out.size());
-  return out;
+  OBS_COUNT_N("compact.constraints.passes", passes);
+  OBS_COUNT_N("compact.constraints.emitted", f.cons.size());
+  return f;
 }
 
 /// Fallback when nothing constrains the object: abut the bounding boxes.
@@ -319,27 +383,151 @@ Coord maxShrink(const Module& m, ShapeId id, Side side) {
 
 Coord requiredTranslation(const Module& target, const Module& obj, Dir dir,
                           const Options& options) {
-  std::vector<Constraint> cons;
-  if (options.engine == Engine::Indexed) {
-    const geom::SpatialIndex idx = buildTargetIndex(target);
-    cons = computeConstraintsIndexed(target, obj, dir, options, idx);
-  } else {
-    cons = computeConstraints(target, obj, dir, options);
-  }
+  if (options.engine == Engine::Indexed)
+    return frontierConstraints(target, obj, dir, options, buildTargetIndex(target),
+                               [](const Frontier&) { return false; })
+        .fmax;
   Coord best = kNone;
-  for (const Constraint& c : cons) best = std::max(best, c.need);
+  for (const Constraint& c : computeConstraints(target, obj, dir, options))
+    best = std::max(best, c.need);
   return best;
 }
 
 namespace {
 
-/// The body shared by the free function and the Compactor session.  When
-/// `session` is non-null it is the caller's live index over `target` and is
-/// maintained through every mutation this call makes (so it stays valid for
-/// the next call); otherwise a throwaway index is built when the engine
-/// asks for one.
+/// "If an edge is variable and defines the minimum distance between the
+/// two objects, the compactor tries to move it until it is no longer
+/// relevant."  Shrinking helps only when *every* binding constraint has a
+/// movable edge with remaining travel; a fixed binding constraint pins the
+/// distance and further shrinking would waste geometry.
+bool bindingMovable(const Module& target, const Module& work,
+                    const std::vector<Constraint>& cons, Coord fmax, Dir dir) {
+  return std::all_of(cons.begin(), cons.end(), [&](const Constraint& c) {
+    if (c.need != fmax) return true;
+    const Side ts = landingSide(dir);
+    if (target.shape(c.targetShape).varEdges.variable(ts) &&
+        maxShrink(target, c.targetShape, ts) > 0)
+      return true;
+    const Side os = frontSide(dir);
+    return work.shape(c.objShape).varEdges.variable(os) &&
+           maxShrink(work, c.objShape, os) > 0;
+  });
+}
+
+/// True when some shape of `m` is alive; O(1) on every module that starts
+/// with a live shape, unlike shapeCount().
+bool hasAliveShape(const Module& m) {
+  for (ShapeId id = 0; id < m.rawSize(); ++id)
+    if (m.isAlive(id)) return true;
+  return false;
+}
+
+/// The stationary shapes auto-connect must try for `arrival`, in id order.
+///
+/// A partner b lies ahead of the arrival in its cross band; its extension
+/// spans b's cross extent from b to the arrival's leading edge.  A *wall*
+/// is an alive same-layer shape c (not the arrival) whose leading edge is
+/// ahead of the arrival's and whose required gap g to an extension is
+/// fixed and not negative (0 for a shared or ignored potential, else the
+/// layer's spacing rule or c's avoid-overlap).  A partner that overlaps c
+/// on the cross axis and lies at least g beyond c would extend through c
+/// while keeping g from b on no axis, so extensionSafe() rejects it: it is
+/// dropped here without its O(distance) safety query.
+///
+/// The scan never reaches the far side of the structure.  Its window
+/// starts one index cell deep and doubles until it holds a wall that
+/// reaches the window's far end; partners beyond the window then overlap
+/// such a wall unless they fit in a cross-axis gap between the walls, and
+/// only those gaps are searched further (or everything, once the window
+/// spans the whole target).
+void reachablePartners(const Module& target, const RuleCache& rc, const Options& opt,
+                       const geom::SpatialIndex& idx, Dir dir, ShapeId ni,
+                       const Shape& arrival, bool ignoredLayer,
+                       std::vector<ShapeId>& out) {
+  const Coord aLead = leadingEdge(dir, arrival.box);
+  const Coord uLo = leadingEdge(dir, idx.bounds());
+  const bool horizontal = isHorizontal(dir);
+  const auto crossLo = [&](const Box& b) { return horizontal ? b.y1 : b.x1; };
+  const auto crossHi = [&](const Box& b) { return horizontal ? b.y2 : b.x2; };
+  struct Wall {
+    Coord key;  ///< overlapped partners whose front is <= key are rejected
+    Coord lo, hi;
+  };
+  std::vector<Wall> walls;
+  std::vector<std::uint32_t> more;
+  for (Coord depth = geom::SpatialIndex::kDefaultCellSize;; depth *= 2) {
+    const Coord from = aLead - depth;
+    const bool full = from <= uLo;
+    idx.query(arrival.layer, axisWindow(dir, arrival.box, 0, full ? -kFar : from, aLead),
+              out);
+    if (full) return;
+    walls.clear();
+    for (const ShapeId ci : out) {
+      if (ci == ni || !target.isAlive(ci)) continue;
+      const Shape& c = target.shape(ci);
+      if (leadingEdge(dir, c.box) >= aLead) continue;
+      Coord g;
+      if (ignoredLayer || (c.net != db::kNoNet && c.net == arrival.net)) {
+        g = 0;
+      } else if (const auto s = rc.minSpacing(c.layer, c.layer)) {
+        g = *s + opt.extraGap;
+      } else if (c.avoidOverlap) {
+        g = 0;
+      } else {
+        continue;  // the gap would depend on the partner
+      }
+      if (g < 0) continue;
+      walls.push_back(Wall{leadingEdge(dir, c.box) - g, crossLo(c.box), crossHi(c.box)});
+    }
+    // Walls reaching the window's far end guard everything beyond it.
+    std::vector<Wall> guard;
+    for (const Wall& w : walls)
+      if (w.key >= from) guard.push_back(w);
+    if (guard.empty()) continue;
+    std::sort(guard.begin(), guard.end(),
+              [](const Wall& a, const Wall& b) { return a.lo < b.lo; });
+    // A partner beyond the window that overlaps no guard wall has its
+    // cross extent inside one gap of their union: search just the gaps.
+    const auto searchGap = [&](Coord lo, Coord hi) {
+      if (hi - lo >= 2) {  // partners inside [lo, hi] reach (lo, hi) too
+        ++lo;
+        --hi;
+      }
+      Box band = arrival.box;
+      (horizontal ? band.y1 : band.x1) = lo;
+      (horizontal ? band.y2 : band.x2) = hi;
+      idx.query(arrival.layer, axisWindow(dir, band, 0, -kFar, from), more);
+      out.insert(out.end(), more.begin(), more.end());
+    };
+    Coord reach = crossLo(arrival.box);
+    for (const Wall& w : guard) {
+      if (w.lo > reach) searchGap(reach, std::min(w.lo, crossHi(arrival.box)));
+      reach = std::max(reach, w.hi);
+      if (reach >= crossHi(arrival.box)) break;
+    }
+    if (reach < crossHi(arrival.box)) searchGap(reach, crossHi(arrival.box));
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    out.erase(std::remove_if(out.begin(), out.end(),
+                             [&](ShapeId bi) {
+                               if (!target.isAlive(bi)) return true;
+                               const Box& b = target.shape(bi).box;
+                               const Coord front = stationaryFront(dir, b);
+                               return std::any_of(walls.begin(), walls.end(), [&](const Wall& w) {
+                                 return front <= w.key && crossLo(b) < w.hi && w.lo < crossHi(b);
+                               });
+                             }),
+              out.end());
+    return;
+  }
+}
+
+/// The body of one successive-compaction step.  `idx` is the session's
+/// live index over `target` (null for the brute-force engine); it is
+/// maintained through every mutation this call makes, so it stays valid
+/// for the next step.
 Result compactImpl(db::Module& target, const db::Module& obj, Dir dir,
-                   const Options& options, geom::SpatialIndex* session) {
+                   const Options& options, geom::SpatialIndex* idx) {
   if (&target.technology() != &obj.technology())
     throw Error("compact: object and target use different technologies");
 
@@ -349,21 +537,22 @@ Result compactImpl(db::Module& target, const db::Module& obj, Dir dir,
   else
     OBS_COUNT("compact.engine.brute");
   obs::Span span("compact.step");
-  span.arg("target", target.name())
-      .arg("obj", obj.name())
-      .arg("dir", dirName(dir))
-      .arg("target_shapes", static_cast<std::uint64_t>(target.shapeCount()))
-      .arg("obj_shapes", static_cast<std::uint64_t>(obj.shapeCount()));
+  if (span)
+    span.arg("target", target.name())
+        .arg("obj", obj.name())
+        .arg("dir", dirName(dir))
+        .arg("target_shapes", static_cast<std::uint64_t>(target.shapeCount()))
+        .arg("obj_shapes", static_cast<std::uint64_t>(obj.shapeCount()));
 
   Result res;
 
   // "The first compaction command copies the first transistor into the
   // data structure."
-  if (target.shapeCount() == 0) {
+  if (!hasAliveShape(target)) {
     res.idMap = target.merge(obj, geom::Transform{});
-    if (session)
+    if (idx)
       for (ShapeId id : target.shapeIds())
-        session->insert(id, target.shape(id).layer, target.shape(id).box);
+        idx->insert(id, target.shape(id).layer, target.shape(id).box);
     return res;
   }
 
@@ -371,56 +560,38 @@ Result compactImpl(db::Module& target, const db::Module& obj, Dir dir,
   std::set<ShapeId> changedTarget;
   std::set<ShapeId> changedWork;
 
-  // Pick the target index: the session's live one, or a snapshot built
-  // once for this call.  Either stays conservative through the auto-expand
-  // loop below, which only shrinks edges (no per-iteration rescan).
-  const bool indexed = options.engine == Engine::Indexed;
-  std::optional<geom::SpatialIndex> local;
-  geom::SpatialIndex* tidx = session;
-  if (indexed && !tidx) {
-    local.emplace(buildTargetIndex(target));
-    tidx = &*local;
-  }
-
   Coord tc = kNone;
   for (int iter = 0; iter < 64; ++iter) {
-    const auto cons = indexed
-                          ? computeConstraintsIndexed(target, work, dir, options, *tidx)
-                          : computeConstraints(target, work, dir, options);
+    std::vector<Constraint> cons;
+    Coord fmax = kNone, f2 = kNone;
+    // The variable-edge test below, memoized: the frontier search asks it
+    // to decide whether f2 must be exact.
+    std::optional<bool> movable;
+    const auto isMovable = [&](const std::vector<Constraint>& cs, Coord fm) {
+      if (!options.enableVariableEdges) return false;
+      movable = bindingMovable(target, work, cs, fm, dir);
+      return *movable;
+    };
+    if (idx) {
+      Frontier f = frontierConstraints(target, work, dir, options, *idx,
+                                       [&](const Frontier& fr) {
+                                         return isMovable(fr.cons, fr.fmax);
+                                       });
+      cons = std::move(f.cons);
+      fmax = f.fmax;
+      f2 = f.f2;
+    } else {
+      cons = computeConstraints(target, work, dir, options);
+      extremes(cons, fmax, f2);
+    }
     OBS_HIST("compact.step.constraints", cons.size());
     if (cons.empty()) {
       tc = bboxAbutTranslation(target, work, dir);
       break;
     }
-    Coord fmax = kNone, f2 = kNone;
-    for (const Constraint& c : cons) {
-      if (c.need > fmax) {
-        f2 = fmax;
-        fmax = c.need;
-      } else if (c.need > f2 && c.need < fmax) {
-        f2 = c.need;
-      }
-    }
     tc = fmax;
     if (!options.enableVariableEdges) break;
-
-    // "If an edge is variable and defines the minimum distance between the
-    // two objects, the compactor tries to move it until it is no longer
-    // relevant."  Shrinking helps only when *every* binding constraint has
-    // a movable edge with remaining travel; a fixed binding constraint
-    // pins the distance and further shrinking would waste geometry.
-    const bool allBindingMovable = std::all_of(
-        cons.begin(), cons.end(), [&](const Constraint& c) {
-          if (c.need != fmax) return true;
-          const Side ts = landingSide(dir);
-          if (target.shape(c.targetShape).varEdges.variable(ts) &&
-              maxShrink(target, c.targetShape, ts) > 0)
-            return true;
-          const Side os = frontSide(dir);
-          return work.shape(c.objShape).varEdges.variable(os) &&
-                 maxShrink(work, c.objShape, os) > 0;
-        });
-    if (!allBindingMovable) break;
+    if (!(movable ? *movable : isMovable(cons, fmax))) break;
 
     bool progressed = false;
     for (const Constraint& c : cons) {
@@ -454,7 +625,7 @@ Result compactImpl(db::Module& target, const db::Module& obj, Dir dir,
   if (tc == kNone) tc = bboxAbutTranslation(target, work, dir);
 
   // "The objects affected by the movement are rebuilt automatically."
-  rebuildArraysFor(target, changedTarget, tidx);
+  rebuildArraysFor(target, changedTarget, idx);
   rebuildArraysFor(work, changedWork);
 
   res.translation = actualTranslation(dir, tc);
@@ -463,6 +634,10 @@ Result compactImpl(db::Module& target, const db::Module& obj, Dir dir,
   const std::size_t preMergeCount = target.rawSize();
   const std::size_t preMergeNets = target.netCount();
   res.idMap = target.merge(work, tf);
+  if (idx)
+    for (ShapeId ai = static_cast<ShapeId>(preMergeCount); ai < target.rawSize(); ++ai)
+      if (target.isAlive(ai))
+        idx->insert(ai, target.shape(ai).layer, target.shape(ai).box);
 
   if (options.autoConnect) {
     // "The geometries of these layers are connected automatically after the
@@ -471,19 +646,8 @@ Result compactImpl(db::Module& target, const db::Module& obj, Dir dir,
     // axis, when no rule forbids it (Fig. 5a).
     const RuleCache& rc = target.technology().rules();
     std::set<ShapeId> extended;
-
-    // The constraint-loop index stayed a conservative superset through the
-    // variable-edge shrinks (stale larger boxes) and the array rebuild
-    // (containers/cuts re-inserted above), so instead of re-snapshotting
-    // the whole target — an O(n) cost that would dwarf the queries it
-    // serves — extend it with just the merged arrivals and keep
-    // maintaining it incrementally: each accepted extension re-inserts
-    // the grown box (union semantics keeps queries exact-over).
-    if (indexed)
-      for (ShapeId ai = static_cast<ShapeId>(preMergeCount); ai < target.rawSize(); ++ai)
-        if (target.isAlive(ai))
-          tidx->insert(ai, target.shape(ai).layer, target.shape(ai).box);
     std::vector<ShapeId> biCand, safetyCand;
+    std::uint64_t partners = 0, safetyTotal = 0;
 
     for (ShapeId ni = static_cast<ShapeId>(preMergeCount); ni < target.rawSize(); ++ni) {
       if (!target.isAlive(ni)) continue;
@@ -499,14 +663,14 @@ Result compactImpl(db::Module& target, const db::Module& obj, Dir dir,
       // prunes both engines identically.
       if (!ignoredLayer && arrival.net >= preMergeNets) continue;
 
-      if (indexed) {
-        // Stationary partners must overlap the arrival's cross-axis band
-        // (extensions bridge any distance along the movement axis).
-        tidx->query(arrival.layer, crossBand(dir, arrival.box, 0), biCand);
+      if (idx) {
+        reachablePartners(target, rc, options, *idx, dir, ni, arrival, ignoredLayer,
+                          biCand);
       } else {
         biCand.clear();
         for (ShapeId bi = 0; bi < preMergeCount; ++bi) biCand.push_back(bi);
       }
+      partners += biCand.size();
       for (ShapeId bi : biCand) {
         if (bi >= preMergeCount) continue;  // index also holds arrivals
         if (!target.isAlive(bi)) continue;
@@ -531,9 +695,9 @@ Result compactImpl(db::Module& target, const db::Module& obj, Dir dir,
         // with (a poly extension across diffusion would create a gate).
         Shape cand = b;
         cand.box = nb;
-        if (indexed) {
+        if (idx) {
           const Coord halo = std::max<Coord>(0, rc.maxSpacing(cand.layer) + options.extraGap);
-          tidx->query(nb.expanded(halo), safetyCand);
+          idx->query(nb.expanded(halo), safetyCand);
           // Array rebuilds left retired ids behind; brute's shapeIds() is
           // alive-only, so drop them for identical safety decisions.
           safetyCand.erase(
@@ -543,20 +707,21 @@ Result compactImpl(db::Module& target, const db::Module& obj, Dir dir,
         } else {
           safetyCand = target.shapeIds();
         }
+        safetyTotal += safetyCand.size();
         if (!extensionSafe(target, rc, options, bi, ni, b, cand, safetyCand)) continue;
         target.shape(bi).box = nb;
-        if (indexed) tidx->insert(bi, b.layer, nb);
+        if (idx) idx->insert(bi, b.layer, nb);
         extended.insert(bi);
         ++res.autoConnects;
       }
     }
-    // Only a session index outlives this point and needs the rebuilt
-    // arrays re-inserted; a per-call index is about to be discarded.
-    rebuildArraysFor(target, extended, session);
+    rebuildArraysFor(target, extended, idx);
+    OBS_COUNT_N("compact.autoconnect.partners", partners);
+    OBS_COUNT_N("compact.autoconnect.safety_candidates", safetyTotal);
   }
   OBS_COUNT_N("compact.edge_moves", res.edgeMoves);
   OBS_COUNT_N("compact.autoconnect.extensions", res.autoConnects);
-  span.arg("edge_moves", res.edgeMoves).arg("auto_connects", res.autoConnects);
+  if (span) span.arg("edge_moves", res.edgeMoves).arg("auto_connects", res.autoConnects);
   return res;
 }
 
@@ -564,7 +729,7 @@ Result compactImpl(db::Module& target, const db::Module& obj, Dir dir,
 
 Result compact(db::Module& target, const db::Module& obj, Dir dir,
                const Options& options) {
-  return compactImpl(target, obj, dir, options, nullptr);
+  return Compactor(target, options).compact(obj, dir);
 }
 
 Result compact(db::Module& target, const db::Module& obj, Dir dir,

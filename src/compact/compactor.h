@@ -80,7 +80,9 @@ struct Result {
 /// Compact `obj` onto `target` moving in `dir`, then merge it into
 /// `target`.  An empty target receives the object unmoved (the DSL's first
 /// compact() "copies the first transistor into the data structure").
-/// Both modules must share the same Technology.
+/// Both modules must share the same Technology.  A one-step Compactor
+/// session: it indexes the whole target first, so successive builds
+/// should keep a session (or go through compact/session.h) instead.
 Result compact(db::Module& target, const db::Module& obj, Dir dir,
                const Options& options = {});
 
@@ -90,18 +92,21 @@ Result compact(db::Module& target, const db::Module& obj, Dir dir,
                std::initializer_list<std::string_view> ignoreLayerNames);
 
 /// A successive-compaction session: the spatial index over the growing
-/// target survives across compact() calls instead of being rebuilt from
-/// scratch each time (the rebuild is O(target) and dwarfs the band queries
-/// it serves, so per-call indexing loses to brute force on long builds).
-/// The session maintains the index incrementally — merged arrivals and
-/// auto-connect extensions are inserted as they happen, variable-edge
-/// shrinks ride on stale-larger union semantics, and array rebuilds
-/// re-insert the affected containers and cuts — and produces results
-/// byte-identical to the free function on either engine.
+/// target survives across compact() calls instead of being rebuilt for
+/// each one (the rebuild is O(target)).  The session maintains
+/// the index incrementally — merged arrivals and auto-connect extensions
+/// are inserted as they happen, variable-edge shrinks ride on
+/// stale-larger union semantics, and array rebuilds re-insert the
+/// affected containers and cuts.  Each step then costs the structure's
+/// outer edge, not the structure: constraint queries are windowed along
+/// the movement axis from the index bounds and widened only until the
+/// binding translation is exact, and auto-connect stops at the nearest
+/// same-layer shapes an extension could not cross (DESIGN.md §4e).
+/// Results are byte-identical to the brute-force engine.
 ///
-/// The target must not be modified by anything else between calls; with
-/// Engine::BruteForce the session is equivalent to calling compact() in a
-/// loop (no index is kept at all).
+/// The target must not be modified by anything else between calls
+/// (compact/session.h guards the DSL's sessions with Module::stamp()); with
+/// Engine::BruteForce no index is kept at all.
 class Compactor {
  public:
   /// Snapshots `target` into the index (alive shapes only).  The module

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
+#include <memory>
 #include <string_view>
 #include <unordered_map>
 
@@ -52,7 +54,9 @@ BatchEngine::BatchEngine(const tech::Technology& tech, EngineConfig cfg)
       prefix_(cfg_.prefixCache && compact::prefixCacheEnvEnabled()
                   ? std::make_unique<compact::PrefixCache>(cfg_.prefix)
                   : nullptr),
-      pool_(cfg_.threads) {}
+      pool_((cfg_.threads == 0 ? util::defaultThreadCount() : cfg_.threads) > 1
+                ? std::make_unique<util::ThreadPool>(cfg_.threads)
+                : nullptr) {}
 
 std::uint64_t BatchEngine::keyOf(const Job& job) const {
   std::uint64_t h = fnv1a(kEngineVersion, kFnvBasis);
@@ -334,11 +338,26 @@ BatchReport BatchEngine::run(const std::vector<Job>& jobs) {
   // Submission order decides when each job first becomes runnable, so the
   // prefix-aware permutation clusters sweep siblings; results still land
   // at their original indices.
-  for (const std::size_t i : scheduleOrder(jobs)) {
-    if (report.jobs[i].rejected) continue;
-    pool_.run([this, &jobs, &report, i] { report.jobs[i] = runOne(jobs[i]); });
+  if (pool_) {
+    for (const std::size_t i : scheduleOrder(jobs)) {
+      if (report.jobs[i].rejected) continue;
+      pool_->run([this, &jobs, &report, i] { report.jobs[i] = runOne(jobs[i]); });
+    }
+    pool_->wait();
+  } else {
+    // Same contract as the pool: every job runs, then the first escaped
+    // exception (runOne() turns job failures into diagnostics) rethrows.
+    std::exception_ptr firstError;
+    for (const std::size_t i : scheduleOrder(jobs)) {
+      if (report.jobs[i].rejected) continue;
+      try {
+        report.jobs[i] = runOne(jobs[i]);
+      } catch (...) {
+        if (!firstError) firstError = std::current_exception();
+      }
+    }
+    if (firstError) std::rethrow_exception(firstError);
   }
-  pool_.wait();
 
   for (const JobResult& r : report.jobs) {
     if (r.ok)

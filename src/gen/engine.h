@@ -34,7 +34,9 @@ class Recorder;
 namespace amg::gen {
 
 struct EngineConfig {
-  std::size_t threads = 0;  ///< worker count; 0 = hardware concurrency
+  /// Worker count; 0 = hardware concurrency.  One worker runs every job
+  /// on the run() caller's thread.
+  std::size_t threads = 0;
   bool useCache = true;     ///< false: always generate (bench cold runs)
   CacheConfig cache;        ///< memory budget + optional disk tier
   /// Statically analyze each job's script before scheduling (src/analysis)
@@ -98,7 +100,10 @@ class BatchEngine {
   std::uint64_t techFp_;
   std::unique_ptr<LayoutCache> cache_;
   std::unique_ptr<compact::PrefixCache> prefix_;
-  util::ThreadPool pool_;
+  /// Worker pool; null for a single worker, whose jobs run inline on the
+  /// run() caller's thread (no thread, stack or malloc arena of its own,
+  /// no cross-thread handoff per job), as util::parallelFor does.
+  std::unique_ptr<util::ThreadPool> pool_;
   /// First job failure of a run dumps the flight recorder (obs/flight.h)
   /// exactly once; reset at the start of every run().
   std::atomic<bool> flightDumped_{false};

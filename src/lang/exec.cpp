@@ -7,7 +7,7 @@
 #include <sstream>
 
 #include "compact/compactor.h"
-#include "compact/prefix.h"
+#include "compact/session.h"
 #include "lang/token.h"
 #include "obs/obs.h"
 #include "primitives/primitives.h"
@@ -41,7 +41,7 @@ db::NetId optNet(db::Module& m, const Value& v) {
 }
 
 /// Self without flushing a deferred prefix-cache restore — only for
-/// doCompact(), which manages the deferral itself.
+/// doCompact(), whose compaction session manages the deferral itself.
 db::Module& requireSelfRaw(const ExecContext& ctx, int line) {
   if (!ctx.self)
     fail("AMG-INTERP-007", "geometry statement outside an entity body", line, 0,
@@ -53,8 +53,8 @@ db::Module& requireSelfRaw(const ExecContext& ctx, int line) {
 db::Module& requireSelf(const ExecContext& ctx, int line) {
   db::Module& m = requireSelfRaw(ctx, line);
   // The builtin is about to read or mutate self directly; a parked
-  // prefix-cache snapshot must land first (compact/prefix.h).
-  if (ctx.prefix) compact::prefixSync(m);
+  // prefix-cache snapshot must land first (compact/session.h).
+  if (ctx.prefix) compact::sessionSync(m);
   return m;
 }
 
@@ -224,11 +224,7 @@ Value doCompact(ExecContext& ctx, Raw& raw, int line, int col) {
     opt.ignoreLayers.push_back(layerOf(ctx, raw[i].value, line));
   const db::Module& obj = raw[0].value.asObject();
   const Dir dir = raw[1].value.asDir();
-  bool restored = false;
-  if (ctx.prefix)
-    restored = compact::prefixStep(*ctx.prefix, m, obj, dir, opt);
-  else
-    compact::compact(m, obj, dir, opt);
+  const bool restored = compact::sessionStep(m, obj, dir, opt, ctx.prefix);
   ++ctx.stats->compactions;
   if (restored) ++ctx.stats->prefixRestored;
   OBS_COUNT("lang.compactions");

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <sstream>
 
-#include "compact/prefix.h"
+#include "compact/session.h"
 #include "lang/builtins.h"
 #include "lang/exec.h"
 #include "obs/obs.h"
@@ -144,7 +144,7 @@ class Interpreter::Impl {
     try {
       execBody(ent.body);
     } catch (...) {
-      compact::prefixAbandon(self);
+      compact::sessionAbandon(self);
       selfStack_.pop_back();
       scopes_.pop_back();
       --depth_;
@@ -152,7 +152,7 @@ class Interpreter::Impl {
     }
     // Frame end: flush any deferred prefix-cache restore and retire the
     // session before self's bytes escape via the return copy.
-    compact::prefixEnd(self);
+    compact::sessionEnd(self);
     selfStack_.pop_back();
     scopes_.pop_back();
     --depth_;
@@ -243,8 +243,8 @@ class Interpreter::Impl {
   void execVariant(const Stmt& s) {
     db::Module& me = self(s.line);
     // The snapshot copy below must see self's real bytes, not a parked
-    // prefix-cache restore (compact/prefix.h).
-    compact::prefixSync(me);
+    // prefix-cache restore (compact/session.h).
+    compact::sessionSync(me);
     const db::Module snapshotSelf = me;
     const auto snapshotScopes = scopes_;
 
@@ -281,7 +281,7 @@ class Interpreter::Impl {
         span.arg("winner", branchIdx);
         return;
       }
-      compact::prefixSync(me);  // rating and bestSelf read me directly
+      compact::sessionSync(me);  // rating and bestSelf read me directly
       double score;
       {
         obs::Span rateSpan("opt.rate");

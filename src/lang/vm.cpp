@@ -5,7 +5,7 @@
 #include <optional>
 #include <string_view>
 
-#include "compact/prefix.h"
+#include "compact/session.h"
 #include "lang/builtins.h"
 #include "lang/compiler.h"
 #include "lang/exec.h"
@@ -159,8 +159,8 @@ void VM::execVariant(const Chunk& ch, Frame& f, const VariantSite& vs) {
          "statement into an ENT body");
   db::Module& me = *f.self;
   // The snapshot copy below must see self's real bytes, not a parked
-  // prefix-cache restore (compact/prefix.h).
-  compact::prefixSync(me);
+  // prefix-cache restore (compact/session.h).
+  compact::sessionSync(me);
   const db::Module snapshotSelf = me;
   struct FrameSnap {
     std::vector<Value> slots;
@@ -215,7 +215,7 @@ void VM::execVariant(const Chunk& ch, Frame& f, const VariantSite& vs) {
       span.arg("winner", branchIdx);
       return;
     }
-    compact::prefixSync(me);  // rating and bestSelf read me directly
+    compact::sessionSync(me);  // rating and bestSelf read me directly
     double score;
     {
       obs::Span rateSpan("opt.rate");
@@ -717,7 +717,7 @@ db::Module VM::instantiate(
   try {
     runRange(ent.chunk, f, 0, static_cast<std::uint32_t>(ent.chunk.code.size()));
   } catch (...) {
-    compact::prefixAbandon(self);
+    compact::sessionAbandon(self);
     stack_.resize(stackBase);
     frames_.pop_back();
     --depth_;
@@ -725,7 +725,7 @@ db::Module VM::instantiate(
   }
   // Frame end: flush any deferred prefix-cache restore and retire the
   // session before self's bytes escape via the return copy.
-  compact::prefixEnd(self);
+  compact::sessionEnd(self);
   frames_.pop_back();
   --depth_;
   return self;

@@ -35,6 +35,11 @@ struct Ring {
 };
 
 Ring gRings[kMaxRings];
+/// Which rings a live thread holds.
+std::atomic<bool> gClaimed[kMaxRings];
+/// High-water mark: rings [0, gRingCount) have had an owner (the dump
+/// covers them all — an exited thread's last events stay readable until
+/// the next claimant overwrites them).
 std::atomic<int> gRingCount{0};
 std::atomic<std::uint64_t> gDropped{0};
 std::atomic<bool> gCrashDumped{false};
@@ -50,18 +55,44 @@ std::int64_t toNs(std::chrono::steady_clock::time_point t) {
       .count();
 }
 
-// Ring acquisition: first note from a thread claims the next free ring for
-// the thread's lifetime; threads beyond kMaxRings drop their notes.
+// Ring acquisition: a thread's first note claims the lowest free ring, and
+// thread exit releases it (long-lived servers start a thread per
+// connection; without release the recorder went blind after 32 of them).
+// Only threads arriving while every ring is held drop their notes.
+thread_local Ring* tRing = nullptr;
+thread_local int tRingIdx = -1;
+thread_local bool tRingTried = false;
+
+struct RingRelease {
+  ~RingRelease() {
+    if (tRingIdx < 0) return;
+    gClaimed[tRingIdx].store(false, std::memory_order_release);
+    tRing = nullptr;  // later notes from other thread-exit code drop
+    tRingIdx = -1;
+  }
+};
+
 Ring* localRing() {
-  thread_local Ring* ring = [] {
-    const int idx = gRingCount.fetch_add(1, std::memory_order_relaxed);
-    if (idx >= kMaxRings) {
-      gDropped.fetch_add(1, std::memory_order_relaxed);
-      return static_cast<Ring*>(nullptr);
-    }
-    return &gRings[idx];
-  }();
-  return ring;
+  if (tRingTried) return tRing;
+  tRingTried = true;
+  for (int i = 0; i < kMaxRings; ++i) {
+    bool expected = false;
+    if (gClaimed[i].load(std::memory_order_relaxed) ||
+        !gClaimed[i].compare_exchange_strong(expected, true,
+                                             std::memory_order_acquire))
+      continue;
+    tRing = &gRings[i];
+    tRingIdx = i;
+    int hw = gRingCount.load(std::memory_order_relaxed);
+    while (hw < i + 1 &&
+           !gRingCount.compare_exchange_weak(hw, i + 1, std::memory_order_release))
+      ;
+    thread_local RingRelease release;  // registers the release at thread exit
+    (void)release;
+    return tRing;
+  }
+  gDropped.fetch_add(1, std::memory_order_relaxed);
+  return nullptr;
 }
 
 void push(std::uint8_t kind, const char* name, std::int64_t ns,

@@ -7,7 +7,8 @@
 // module keeps a fixed byte budget of the most recent span begin/end,
 // emitted OBS_LOG lines and explicit mark() breadcrumbs in per-thread ring
 // buffers (no locks, no allocation: static storage, one relaxed head per
-// ring, owner-thread writes only), and dumps them:
+// ring, owner-thread writes only; a ring is held from a thread's first
+// note to its exit), and dumps them:
 //
 //  * from the crash handlers installed by installCrashHandlers()
 //    (SIGSEGV/SIGBUS/SIGILL/SIGFPE/SIGABRT + std::set_terminate), using
@@ -69,8 +70,9 @@ void installCrashHandlers();
 /// assignments, so concurrent notes stay safe.  Test-only.
 void resetForTest();
 
-/// Threads that arrived after every ring was taken (their notes are
-/// dropped); the dump header reports this.
+/// Threads that arrived while every ring was held by a live thread (their
+/// notes are dropped; rings are released at thread exit); the dump header
+/// reports this.
 std::uint64_t droppedThreads();
 
 }  // namespace amg::obs::flight

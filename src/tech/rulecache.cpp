@@ -19,14 +19,12 @@ RuleCache::RuleCache(const Technology& t) : n_(t.layerCount()) {
     kind_[a] = t.info(a).kind;
     conducting_[a] = t.info(a).conducting ? 1 : 0;
     if (auto w = t.findMinWidth(a)) minWidth_[a] = *w;
-    try {
-      // Any layer may carry a cut size (Technology keys the table by layer,
-      // not by kind); mirror exactly what cutSize() would answer.
-      const auto [w, h] = t.cutSize(a);
-      cutW_[a] = w;
-      cutH_[a] = h;
-    } catch (const DesignRuleError&) {
-      // no cut size for this layer
+    // Any layer may carry a cut size (Technology keys the table by layer,
+    // not by kind); mirror exactly what cutSize() would answer, without
+    // its throw for the layers that have none.
+    if (const auto cs = t.findCutSize(a)) {
+      cutW_[a] = cs->first;
+      cutH_[a] = cs->second;
     }
     for (LayerId b = 0; b < n_; ++b) {
       if (auto s = t.minSpacing(a, b)) spacing_[cell(a, b)] = *s;

@@ -124,12 +124,16 @@ std::optional<Coord> Technology::extension(LayerId a, LayerId b) const {
   return it->second;
 }
 
-std::pair<Coord, Coord> Technology::cutSize(LayerId cut) const {
+std::optional<std::pair<Coord, Coord>> Technology::findCutSize(LayerId cut) const {
   auto it = cutSize_.find(cut);
-  if (it == cutSize_.end())
-    throw DesignRuleError("technology '" + name_ + "': layer '" + info(cut).name +
-                          "' has no cut size");
+  if (it == cutSize_.end()) return std::nullopt;
   return it->second;
+}
+
+std::pair<Coord, Coord> Technology::cutSize(LayerId cut) const {
+  if (auto cs = findCutSize(cut)) return *cs;
+  throw DesignRuleError("technology '" + name_ + "': layer '" + info(cut).name +
+                        "' has no cut size");
 }
 
 bool Technology::cutConnects(LayerId cut, LayerId a, LayerId b) const {

@@ -107,6 +107,8 @@ class Technology {
   /// Required crossing extension (gate endcap / source-drain overhang);
   /// nullopt if the layers have no crossing rule.
   std::optional<Coord> extension(LayerId a, LayerId b) const;
+  /// Exact cut footprint (w, h); nullopt when the layer has none.
+  std::optional<std::pair<Coord, Coord>> findCutSize(LayerId cut) const;
   /// Exact cut footprint (w, h); throws for non-cut layers.
   std::pair<Coord, Coord> cutSize(LayerId cut) const;
   /// True when `cut` connects `a` and `b` (order-insensitive).

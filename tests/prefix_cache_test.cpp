@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "compact/prefix.h"
+#include "compact/session.h"
 #include "db/module.h"
 #include "gen/engine.h"
 #include "io/layout.h"
@@ -258,15 +258,15 @@ TEST(PrefixCache, DirectStepApiMatchesPlainCompact) {
   compact::PrefixCache cache;
   db::Module first = seedTarget();
   for (int i = 0; i < 4; ++i)
-    compact::prefixStep(cache, first, cell(), Dir::East, opt);
-  compact::prefixEnd(first);
+    compact::sessionStep(first, cell(), Dir::East, opt, &cache);
+  compact::sessionEnd(first);
   EXPECT_EQ(io::serializeLayout(first), io::serializeLayout(plain));
 
   db::Module replay = seedTarget();
   std::size_t restored = 0;
   for (int i = 0; i < 4; ++i)
-    restored += compact::prefixStep(cache, replay, cell(), Dir::East, opt);
-  compact::prefixEnd(replay);
+    restored += compact::sessionStep(replay, cell(), Dir::East, opt, &cache);
+  compact::sessionEnd(replay);
   EXPECT_EQ(io::serializeLayout(replay), io::serializeLayout(plain));
   if (tierOff()) GTEST_SKIP() << "AMG_PREFIX_CACHE=0: no hits to assert";
   EXPECT_EQ(restored, 4u);
@@ -284,14 +284,14 @@ TEST(PrefixCache, OutOfBandMutationReseedsTheChain) {
   compact::PrefixCache cache;
   db::Module m(t, "tgt");
   m.addShape(db::makeShape(Box{0, 0, um(4), um(4)}, t.layer("pdiff")));
-  compact::prefixStep(cache, m, cell, Dir::East, opt);
+  compact::sessionStep(m, cell, Dir::East, opt, &cache);
   // Mutate behind the session's back: the stamp changes, the next step
   // must reseed instead of trusting the stale chain.
-  compact::prefixSync(m);
+  compact::sessionSync(m);
   m.addShape(db::makeShape(Box{um(20), 0, um(22), um(2)}, t.layer("metal1")));
   const std::uint64_t reseedsBefore = cache.stats().reseeds;
-  compact::prefixStep(cache, m, cell, Dir::East, opt);
-  compact::prefixEnd(m);
+  compact::sessionStep(m, cell, Dir::East, opt, &cache);
+  compact::sessionEnd(m);
   EXPECT_GT(cache.stats().reseeds, reseedsBefore);
 }
 

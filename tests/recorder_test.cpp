@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gen/engine.h"
@@ -360,7 +361,11 @@ TEST(Replay, CompareTracesFlagsLengthAndDigestDrift) {
 // --- flight recorder -------------------------------------------------------
 
 std::string dumpToString() {
-  const std::string path = ::testing::TempDir() + "flight_dump.txt";
+  // One file per test: ctest runs the Flight tests in parallel processes,
+  // which must not read each other's dumps.
+  const std::string path =
+      ::testing::TempDir() + "flight_dump_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".txt";
   std::FILE* f = std::fopen(path.c_str(), "w+b");
   EXPECT_NE(f, nullptr);
   const std::size_t n = obs::flight::dump(fileno(f));
@@ -400,6 +405,18 @@ TEST(Flight, LogLinesAndMarksCarryDetail) {
   EXPECT_NE(out.find("diffpair_w15"), std::string::npos);
   EXPECT_NE(out.find("rolled back variant 3"), std::string::npos);
   EXPECT_NE(out.find("lang.variant"), std::string::npos);
+}
+
+TEST(Flight, ExitedThreadsReleaseTheirRings) {
+  // A server starts a thread per connection: rings must be recycled as
+  // threads exit, or every thread after the 32nd is silently dropped.
+  obs::flight::resetForTest();
+  for (int i = 0; i < 40; ++i)
+    std::thread([] { obs::flight::mark("flight.worker", "short-lived"); }).join();
+  std::thread([] { obs::flight::mark("flight.late", "forty-first"); }).join();
+  const std::string out = dumpToString();
+  EXPECT_NE(out.find("flight.late forty-first"), std::string::npos);
+  EXPECT_EQ(obs::flight::droppedThreads(), 0u);
 }
 
 TEST(Flight, BatchJobFailureDumpsOnce) {

@@ -47,6 +47,26 @@ void expectCacheMatches(const Technology& t) {
   }
 }
 
+TEST(RuleCache, FindCutSizeMatchesCutSizeOnEveryBuiltinLayer) {
+  // The cache is built with the non-throwing Technology::findCutSize; it
+  // must agree with cutSize() — a value where one exists, the
+  // DesignRuleError where not — on every layer of every builtin deck.
+  for (const Technology* t : {&bicmos1u(), &cmos2u()}) {
+    const RuleCache& rc = t->rules();
+    int cuts = 0;
+    for (LayerId l = 0; l < static_cast<LayerId>(t->layerCount()); ++l) {
+      ASSERT_EQ(rc.findCutSize(l), t->findCutSize(l)) << t->name() << " layer " << l;
+      if (const auto cs = rc.findCutSize(l)) {
+        EXPECT_EQ(*cs, t->cutSize(l)) << t->name() << " layer " << l;
+        ++cuts;
+      } else {
+        EXPECT_THROW((void)t->cutSize(l), DesignRuleError) << t->name() << " layer " << l;
+      }
+    }
+    EXPECT_GT(cuts, 0) << t->name();
+  }
+}
+
 TEST(RuleCache, MatchesBuiltinBicmos1u) { expectCacheMatches(bicmos1u()); }
 
 TEST(RuleCache, MatchesBuiltinCmos2u) { expectCacheMatches(cmos2u()); }

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -227,6 +228,35 @@ TEST(ServeTest, RecordedTrafficReplaysAndMatchesLocalTrace) {
   EXPECT_TRUE(rep.clean());
   EXPECT_EQ(rep.matched, 3u);
   std::filesystem::remove(trace);
+}
+
+/// Lines of /proc/self/maps: one per memory mapping of this process (each
+/// unjoined thread keeps its stack and guard page mapped).
+std::size_t mappingCount() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t n = 0;
+  for (std::string line; std::getline(maps, line);) ++n;
+  return n;
+}
+
+TEST(ServeTest, EndedConnectionThreadsAreJoined) {
+  // Sequential short connections must not leave a thread (and its stack
+  // mappings) behind per connection: the acceptor joins the threads of
+  // ended connections as it accepts new ones.
+  const std::string sock = sockPath("reap");
+  serve::Server server(baseConfig(sock));
+  server.start();
+  const auto pingOnce = [&] {
+    serve::Client client(sock);
+    client.ping();
+  };
+  for (int i = 0; i < 10; ++i) pingOnce();  // warm-up: allocator arenas, stacks
+  const std::size_t mapsBefore = mappingCount();
+  for (int i = 0; i < 200; ++i) pingOnce();
+  EXPECT_LE(server.retainedConnectionThreads(), 2u);
+  EXPECT_LE(mappingCount(), mapsBefore + 8) << "before " << mapsBefore;
+  server.drain();
+  EXPECT_EQ(server.retainedConnectionThreads(), 0u);
 }
 
 TEST(ServeTest, DrainRejectsNewWorkAndShutdownFrameDrains) {

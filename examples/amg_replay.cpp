@@ -2,10 +2,14 @@
 // engines still produce byte-identical outcomes.
 //
 //   $ ./amg_replay sweep.amgt                    # recorded configuration
-//   $ ./amg_replay --interp=tree sweep.amgt      # cross-engine oracle
 //   $ ./amg_replay --no-cache --jobs 1 sweep.amgt
 //   $ ./amg_replay --against other.amgt sweep.amgt   # diff two recordings
 //   $ ./amg_replay --list sweep.amgt             # print the trace, run nothing
+//
+// A replay runs under the execution and spatial engines the trace header
+// records; a cross-engine check records the same traffic under both
+// engines (AMG_INTERP=tree for the tree walker) and diffs the recordings
+// with --against.
 //
 // Exit status: 0 = every request matched, 1 = at least one divergence,
 // 2 = usage or I/O error.  On the first divergence the report names the
@@ -46,9 +50,8 @@ void usage(const char* argv0, std::FILE* out) {
       "  --perturb N     flip request N's recorded layout hash first\n"
       "                  (self-test: the replay MUST diverge)\n"
       "  --list          print the trace header and requests, run nothing\n"
-      "%s"
       "  --help          show this help and exit\n%s",
-      argv0, cli::interpUsage(), cli::obsUsage());
+      argv0, cli::obsUsage());
 }
 
 const char* kindName(obs::RequestKind k) {
@@ -82,8 +85,6 @@ int main(int argc, char** argv) {
   std::string techSpec, againstPath;
   gen::ReplayOptions opt;
   bool list = false;
-  bool interpOverridden = false;
-  lang::Engine interp = lang::defaultEngine();
   long perturb = -1;
   obs::CliOptions obsOpts;
   std::vector<const char*> positional;
@@ -114,8 +115,6 @@ int main(int argc, char** argv) {
       opt.noPrefixCache = true;
     else if (std::strcmp(argv[i], "--list") == 0)
       list = true;
-    else if (cli::parseInterpFlag(argc, argv, i, interp))
-      interpOverridden = true;
     else if (std::strcmp(argv[i], "--help") == 0) {
       usage(argv[0], stdout);
       return 0;
@@ -130,7 +129,6 @@ int main(int argc, char** argv) {
     usage(argv[0], stderr);
     return 2;
   }
-  if (interpOverridden) opt.interp = interp;
 
   obs::TraceFile trace;
   try {
@@ -212,11 +210,7 @@ int main(int argc, char** argv) {
 
     // The recorded spatial-engine block applies to the whole replay
     // process (the flags are read at options construction time).
-    obs::SpatialEngineConfig& se = obs::spatialEngines();
-    se.compactIndexed = (h.spatialEngines & 1u) != 0;
-    se.drcIndexed = (h.spatialEngines & 2u) != 0;
-    se.connectivityIndexed = (h.spatialEngines & 4u) != 0;
-    se.routeIndexed = (h.spatialEngines & 8u) != 0;
+    obs::spatialEngines() = obs::unpackSpatialEngines(h.spatialEngines);
 
     report = gen::replayTrace(trace, *tech, opt);
     std::printf("replayed %zu of %zu request(s) (%zu external skipped)"

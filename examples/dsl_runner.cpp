@@ -24,7 +24,7 @@
 #include "analysis/analyzer.h"
 #include "cli_common.h"
 #include "drc/drc.h"
-#include "gen/fingerprint.h"
+#include "gen/engine.h"
 #include "gen/replay.h"
 #include "io/layout.h"
 #include "io/svg.h"
@@ -47,9 +47,8 @@ void usage(const char* argv0, std::FILE* out) {
                " it; lint errors stop the run (docs/LINT.md)\n"
                "  --record FILE   record each produced object as an AMGT\n"
                "                  request trace (replay with amg_replay)\n"
-               "%s"
                "  --help          show this help and exit\n%s",
-               argv0, amg::cli::interpUsage(), amg::cli::obsUsage());
+               argv0, amg::cli::obsUsage());
 }
 
 }  // namespace
@@ -60,7 +59,6 @@ int main(int argc, char** argv) {
   std::size_t jobs = 1;
   bool lint = false;
   std::string recordPath;
-  lang::Engine engine = lang::defaultEngine();
   obs::CliOptions obsOpts;
   std::vector<const char*> positional;
   for (int i = 1; i < argc; ++i) {
@@ -74,8 +72,6 @@ int main(int argc, char** argv) {
       recordPath = argv[i] + 9;
     else if (std::strcmp(argv[i], "--record") == 0 && i + 1 < argc)
       recordPath = argv[++i];
-    else if (cli::parseInterpFlag(argc, argv, i, engine))
-      continue;
     else if (std::strcmp(argv[i], "--help") == 0) {
       usage(argv[0], stdout);
       return 0;
@@ -113,24 +109,14 @@ int main(int argc, char** argv) {
     }
   }
 
+  // dsl_runner has no cache tiers; replay under the same conditions.
+  gen::EngineConfig cfg;
+  cfg.useCache = false;
+  cfg.prefixCache = false;
   std::optional<obs::Recorder> recorder;
   if (!recordPath.empty()) {
-    obs::TraceHeader hdr;
-    hdr.tool = "dsl_runner";
-    hdr.techSpec = "bicmos1u";
-    hdr.techFingerprint = gen::techFingerprint(t);
-    hdr.interp = engine == lang::Engine::Vm ? 1 : 0;
-    // dsl_runner has no cache tiers; replay under the same conditions.
-    hdr.cacheEnabled = false;
-    hdr.prefixCacheEnabled = false;
-    const obs::SpatialEngineConfig& se = obs::spatialEngines();
-    hdr.spatialEngines =
-        static_cast<std::uint8_t>((se.compactIndexed ? 1u : 0u) |
-                                  (se.drcIndexed ? 2u : 0u) |
-                                  (se.connectivityIndexed ? 4u : 0u) |
-                                  (se.routeIndexed ? 8u : 0u));
     try {
-      recorder.emplace(recordPath, std::move(hdr));
+      recorder.emplace(recordPath, gen::traceHeaderOf("dsl_runner", "bicmos1u", t, cfg));
     } catch (const Error& e) {
       std::fprintf(stderr, "error: %s\n", e.what());
       return 2;
@@ -138,7 +124,7 @@ int main(int argc, char** argv) {
   }
 
   lang::Interpreter in(t);
-  in.setEngine(engine);
+  in.setEngine(cfg.interp);
   obs::Span runSpan("dsl.run");
   try {
     in.run(src.str(), positional[0]);

@@ -28,7 +28,8 @@
 #include <string_view>
 
 #include "cli_common.h"
-#include "gen/fingerprint.h"
+#include "gen/engine.h"
+#include "gen/replay.h"
 #include "io/layout.h"
 #include "obs/recorder.h"
 #include "util/hash.h"
@@ -257,21 +258,12 @@ int main(int argc, char** argv) {
 
   const bool flowOk = violations.empty() && lvsRes.matched;
   if (!recordPath.empty()) {
-    obs::TraceHeader hdr;
-    hdr.tool = "full_flow";
-    hdr.techSpec = "bicmos1u";
-    hdr.techFingerprint = gen::techFingerprint(t);
-    hdr.interp = 1;  // no DSL involved; header default
-    hdr.cacheEnabled = false;
-    hdr.prefixCacheEnabled = false;
-    const obs::SpatialEngineConfig& se = obs::spatialEngines();
-    hdr.spatialEngines =
-        static_cast<std::uint8_t>((se.compactIndexed ? 1u : 0u) |
-                                  (se.drcIndexed ? 2u : 0u) |
-                                  (se.connectivityIndexed ? 4u : 0u) |
-                                  (se.routeIndexed ? 8u : 0u));
+    gen::EngineConfig cfg;
+    cfg.interp = lang::Engine::Vm;  // no DSL involved; header default
+    cfg.useCache = false;
+    cfg.prefixCache = false;
     try {
-      obs::Recorder recorder(recordPath, std::move(hdr));
+      obs::Recorder recorder(recordPath, gen::traceHeaderOf("full_flow", "bicmos1u", t, cfg));
       obs::RequestRecord rec;
       rec.kind = obs::RequestKind::External;
       rec.name = "full_flow.top";

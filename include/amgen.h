@@ -48,7 +48,7 @@ extern "C" {
 /* Compatibility generation of this header; compare against
  * amg_api_version() at startup (docs/EMBEDDING.md, compatibility matrix).
  * Incompatible ABI changes bump it; additions do not. */
-#define AMGEN_API_VERSION 1u
+#define AMGEN_API_VERSION 2u
 
 /* -------------------------------------------------------------------------
  * Status codes & diagnostics
@@ -125,7 +125,6 @@ typedef struct amg_engine amg_engine;
  * string fields are borrowed until amg_engine_create() returns. */
 typedef struct amg_config {
   uint32_t threads;      /* worker count; 0 = all hardware threads */
-  int32_t interp;        /* 0 = tree walker, 1 = bytecode VM, -1 = default */
   int32_t use_cache;     /* whole-layout cache tier on/off */
   uint64_t cache_max_bytes;      /* in-memory layout-cache budget */
   const char* cache_dir;         /* on-disk tier directory; NULL/"" = off */
@@ -136,8 +135,10 @@ typedef struct amg_config {
   int32_t preflight_werror;      /* treat pre-flight warnings as rejections */
 } amg_config;
 
-/* Reset `cfg` to the library defaults (VM engine, both cache tiers on,
- * 64 MiB budgets, pre-flight on).  No-op on NULL. */
+/* Reset `cfg` to the library defaults (both cache tiers on, 64 MiB
+ * budgets, pre-flight on).  No-op on NULL.  Jobs run on the bytecode VM
+ * (AMG_INTERP=tree steers a whole process onto the tree-walking oracle
+ * for differential testing); the engine is not a configuration field. */
 AMGEN_API void amg_config_init(amg_config* cfg);
 
 /* Create an engine for `tech_spec`: a builtin deck name ("bicmos1u",

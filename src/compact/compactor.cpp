@@ -7,7 +7,6 @@
 #include <set>
 
 #include "db/connectivity.h"
-#include "geom/contour.h"
 #include "geom/spatial.h"
 #include "obs/obs.h"
 #include "primitives/primitives.h"
@@ -29,8 +28,6 @@ using tech::LayerId;
 using tech::LayerKind;
 using tech::RuleCache;
 using tech::Technology;
-
-constexpr Coord kNone = geom::Envelope::kNone;
 
 bool layerIgnored(const Options& opt, LayerId l) {
   return std::find(opt.ignoreLayers.begin(), opt.ignoreLayers.end(), l) !=

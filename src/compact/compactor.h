@@ -27,6 +27,7 @@
 //    touch (Fig. 5a) when doing so violates no rule.
 #pragma once
 
+#include <limits>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -131,12 +132,14 @@ class Compactor {
   std::optional<geom::SpatialIndex> idx_;
 };
 
+/// requiredTranslation()'s answer when nothing constrains the object.
+inline constexpr Coord kNone = std::numeric_limits<Coord>::min();
+
 /// The canonical-frame translation the rules require for `obj` against
 /// `target` (no mutation, no variable edges): the object must be translated
 /// by exactly this amount along the movement axis (positive = pushed back
-/// against the movement).  Exposed for the optimizer's lookahead, the fast
-/// contour engine's equivalence tests, and unit tests.  Returns
-/// geom::Envelope::kNone when nothing constrains the object.
+/// against the movement).  Exposed for lookahead and for the engines'
+/// equivalence tests.  Returns kNone when nothing constrains the object.
 Coord requiredTranslation(const db::Module& target, const db::Module& obj, Dir dir,
                           const Options& options = {});
 

@@ -47,7 +47,9 @@ struct EngineConfig {
   bool preflight = true;
   /// Treat pre-flight warnings as rejections too (lint --Werror).
   bool preflightWerror = false;
-  /// Execution tier for each job's Interpreter.  With the VM, compiled
+  /// Execution tier for each job's Interpreter: the process default (the
+  /// VM unless AMG_INTERP=tree).  No tool exposes it; tests and benches
+  /// set it to reach the tree-walking oracle.  With the VM, compiled
   /// chunks are memoized process-wide on the raw script text
   /// (lang/compiler.h), so warm jobs skip lex+parse+compile entirely.
   lang::Engine interp = lang::defaultEngine();

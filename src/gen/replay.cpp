@@ -2,11 +2,25 @@
 
 #include <algorithm>
 
+#include "compact/prefix.h"
 #include "gen/engine.h"
 #include "gen/fingerprint.h"
 #include "obs/obs.h"
 
 namespace amg::gen {
+
+obs::TraceHeader traceHeaderOf(std::string tool, std::string techSpec,
+                               const tech::Technology& tech, const EngineConfig& cfg) {
+  obs::TraceHeader hdr;
+  hdr.tool = std::move(tool);
+  hdr.techSpec = std::move(techSpec);
+  hdr.techFingerprint = techFingerprint(tech);
+  hdr.interp = cfg.interp == lang::Engine::Vm ? 1 : 0;
+  hdr.cacheEnabled = cfg.useCache;
+  hdr.prefixCacheEnabled = cfg.prefixCache && compact::prefixCacheEnvEnabled();
+  hdr.spatialEngines = obs::packSpatialEngines(obs::spatialEngines());
+  return hdr;
+}
 
 obs::RequestOutcome outcomeOf(const JobResult& r) {
   obs::RequestOutcome o;
@@ -98,8 +112,7 @@ ReplayReport replayTrace(const obs::TraceFile& trace,
   EngineConfig cfg;
   cfg.threads = opt.threads;
   cfg.useCache = opt.useCache.value_or(trace.header.cacheEnabled);
-  cfg.interp = opt.interp.value_or(trace.header.interp == 0 ? lang::Engine::Tree
-                                                            : lang::Engine::Vm);
+  cfg.interp = trace.header.interp == 0 ? lang::Engine::Tree : lang::Engine::Vm;
   cfg.prefixCache = !opt.noPrefixCache && trace.header.prefixCacheEnabled;
 
   // Executable subset, preserving trace positions for the report.

@@ -1,17 +1,17 @@
 // Deterministic re-execution of recorded request traces.
 //
 // obs/recorder.h defines the AMGT format and knows nothing about the
-// engines; this module is the bridge: it turns finished jobs into request
-// records (the batch engine and the CLIs record through it) and turns a
-// recorded trace back into jobs, re-runs them through a fresh
-// gen::BatchEngine under the recorded — or overridden — configuration,
-// and compares outcome digests request by request.
+// engines; this module is the bridge: it builds the trace header every
+// recording tool writes, turns finished jobs into request records (the
+// batch engine and the CLIs record through it) and turns a recorded trace
+// back into jobs, re-runs them through a fresh gen::BatchEngine under the
+// recorded configuration, and compares outcome digests request by request.
 //
 // Because every engine combination is byte-identical by construction
-// (VM vs tree walker, caches warm vs cold vs disabled), a clean replay
-// under an *overridden* configuration is a proof that the override
-// preserves behavior on real traffic: `amg_replay --interp=tree
-// yesterday.amgt` must produce zero divergences or something changed.
+// (VM vs tree walker, caches warm vs cold vs disabled), two recordings of
+// the same traffic under different engines must compare clean: CI records
+// its sweep once on the VM and once under AMG_INTERP=tree, replays each
+// and diffs them with `amg_replay --against`.
 #pragma once
 
 #include <cstddef>
@@ -21,11 +21,19 @@
 #include <vector>
 
 #include "gen/job.h"
-#include "lang/interp.h"
 #include "obs/recorder.h"
 #include "tech/tech.h"
 
 namespace amg::gen {
+
+struct EngineConfig;
+
+/// The AMGT header for a run of `tool` generating under `tech` (named
+/// `techSpec` on its command line) with `cfg`: the execution engine, both
+/// cache tiers (the prefix tier as AMG_PREFIX_CACHE leaves it) and the
+/// process's obs::spatialEngines() block.
+obs::TraceHeader traceHeaderOf(std::string tool, std::string techSpec,
+                               const tech::Technology& tech, const EngineConfig& cfg);
 
 /// The recordable outcome of a finished job (layout hash, shape count,
 /// diag code, work counters — see obs::RequestOutcome for digest rules).
@@ -40,7 +48,6 @@ Job jobOf(const obs::RequestRecord& rec);
 
 /// Overrides applied on top of the recorded engine configuration.
 struct ReplayOptions {
-  std::optional<lang::Engine> interp;  ///< force an execution engine
   std::optional<bool> useCache;        ///< force the layout cache on/off
   bool noPrefixCache = false;          ///< force the prefix tier off
   std::size_t threads = 0;             ///< worker count; 0 = hardware
@@ -72,7 +79,7 @@ struct ReplayReport {
 };
 
 /// Re-execute `trace` under `tech` and compare digests.  The recorded
-/// engine configuration (interp choice, cache tiers) applies unless
+/// execution engine applies, and so do the recorded cache tiers unless
 /// overridden.  Never throws for per-request failures — a request that
 /// fails differently than recorded is a divergence, not an error.
 ReplayReport replayTrace(const obs::TraceFile& trace,

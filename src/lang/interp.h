@@ -29,7 +29,7 @@ struct CompiledProgram;
 /// Which execution tier evaluates scripts.  Both produce byte-identical
 /// layouts and identical diagnostics (tests/vm_test.cpp is the proof); the
 /// tree-walker survives as the differential-testing oracle behind
-/// --interp=tree.
+/// AMG_INTERP=tree and setEngine().
 enum class Engine : std::uint8_t {
   Tree,  ///< walk the AST directly (the original interpreter)
   Vm,    ///< compile to bytecode (lang/compiler.h) and run the stack VM

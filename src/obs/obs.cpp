@@ -116,6 +116,21 @@ SpatialEngineConfig& spatialEngines() {
   return cfg;
 }
 
+std::uint8_t packSpatialEngines(const SpatialEngineConfig& c) {
+  return static_cast<std::uint8_t>((c.compactIndexed ? 1u : 0u) | (c.drcIndexed ? 2u : 0u) |
+                                   (c.connectivityIndexed ? 4u : 0u) |
+                                   (c.routeIndexed ? 8u : 0u));
+}
+
+SpatialEngineConfig unpackSpatialEngines(std::uint8_t bits) {
+  SpatialEngineConfig c;
+  c.compactIndexed = (bits & 1u) != 0;
+  c.drcIndexed = (bits & 2u) != 0;
+  c.connectivityIndexed = (bits & 4u) != 0;
+  c.routeIndexed = (bits & 8u) != 0;
+  return c;
+}
+
 Stats& Stats::global() {
   static Stats s;
   return s;

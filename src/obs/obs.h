@@ -137,6 +137,11 @@ struct SpatialEngineConfig {
 };
 SpatialEngineConfig& spatialEngines();
 
+/// The block as the AMGT trace header's bit set (bit0 compact, bit1 drc,
+/// bit2 connectivity, bit3 route; set = indexed) and back.
+std::uint8_t packSpatialEngines(const SpatialEngineConfig& c);
+SpatialEngineConfig unpackSpatialEngines(std::uint8_t bits);
+
 /// The registry: dotted hierarchical names mapped to counters/histograms.
 /// Entries are created on first use and never move (callers cache
 /// references); reset() zeroes values but keeps entries, so cached

@@ -44,8 +44,8 @@ enum class RequestKind : std::uint8_t {
 };
 
 /// Trace-wide context: which tool recorded, under what technology and
-/// engine configuration.  Replay restores this configuration unless
-/// overridden on the amg_replay command line.
+/// engine configuration (gen::traceHeaderOf builds it).  Replay restores
+/// this configuration; amg_replay can override only the cache tiers.
 struct TraceHeader {
   std::string tool;          ///< "batch_runner", "dsl_runner", "full_flow"
   std::string techSpec;      ///< the --tech spec used (name or path)
@@ -53,7 +53,7 @@ struct TraceHeader {
   std::uint8_t interp = 1;   ///< 0 = tree walker, 1 = bytecode VM
   bool cacheEnabled = true;        ///< whole-layout cache tier
   bool prefixCacheEnabled = true;  ///< compactor-prefix cache tier
-  std::uint8_t spatialEngines = 0xF;  ///< bit0 compact, 1 drc, 2 conn, 3 route
+  std::uint8_t spatialEngines = 0xF;  ///< obs::packSpatialEngines() bits
 };
 
 /// What a request produced.  The *digest fields* (ok, rejected,

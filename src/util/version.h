@@ -29,7 +29,7 @@ namespace amg::util {
 inline constexpr const char* kVersionString = "amgen 0.9.0";
 
 /// C-ABI compatibility generation (include/amgen.h, AMGEN_API_VERSION).
-inline constexpr std::uint32_t kApiVersion = 1;
+inline constexpr std::uint32_t kApiVersion = 2;
 
 /// "AMGL" end-of-build layout record (io/layout.h, AMG-IO-002 on mismatch).
 inline constexpr std::uint32_t kLayoutFormatVersion = 1;

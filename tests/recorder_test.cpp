@@ -10,13 +10,16 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "compact/prefix.h"
 #include "gen/engine.h"
 #include "gen/fingerprint.h"
 #include "gen/replay.h"
 #include "io/layout.h"
 #include "obs/flight.h"
+#include "obs/obs.h"
 #include "obs/recorder.h"
 #include "tech/builtin.h"
 #include "util/diag.h"
@@ -238,6 +241,36 @@ TEST(TraceFormat, MissingFileIsObs005) {
   }
 }
 
+TEST(TraceFormat, HeaderHelperWritesTheHandBuiltBytes) {
+  // gen::traceHeaderOf replaced a header assembled field by field in every
+  // recording tool; the bytes it writes must be those of that assembly.
+  gen::EngineConfig cfg;
+  cfg.interp = lang::Engine::Tree;
+  cfg.useCache = false;
+  obs::SpatialEngineConfig& se = obs::spatialEngines();
+  const obs::SpatialEngineConfig saved = se;
+  se.drcIndexed = false;
+  se.routeIndexed = false;
+
+  obs::TraceFile byHand;
+  byHand.header.tool = "tool";
+  byHand.header.techSpec = "bicmos1u";
+  byHand.header.techFingerprint = gen::techFingerprint(tech::bicmos1u());
+  byHand.header.interp = 0;
+  byHand.header.cacheEnabled = false;
+  byHand.header.prefixCacheEnabled = compact::prefixCacheEnvEnabled();
+  byHand.header.spatialEngines = 0x5;
+  obs::TraceFile helper;
+  helper.header = gen::traceHeaderOf("tool", "bicmos1u", tech::bicmos1u(), cfg);
+  se = saved;
+  EXPECT_EQ(obs::serializeTrace(helper), obs::serializeTrace(byHand));
+
+  for (unsigned bits = 0; bits < 16; ++bits)
+    EXPECT_EQ(obs::packSpatialEngines(obs::unpackSpatialEngines(
+                  static_cast<std::uint8_t>(bits))),
+              bits);
+}
+
 TEST(TraceFormat, UnwritablePathIsObs004) {
   try {
     obs::Recorder rec("/nonexistent/dir/trace.amgt", obs::TraceHeader{});
@@ -250,15 +283,10 @@ TEST(TraceFormat, UnwritablePathIsObs004) {
 // --- record + replay through the batch engine ------------------------------
 
 obs::TraceFile recordSweep(lang::Engine interp, const std::string& path) {
-  obs::TraceHeader hdr;
-  hdr.tool = "recorder_test";
-  hdr.techSpec = "bicmos1u";
-  hdr.techFingerprint = gen::techFingerprint(tech::bicmos1u());
-  hdr.interp = interp == lang::Engine::Vm ? 1 : 0;
-  obs::Recorder rec(path, hdr);
-
   gen::EngineConfig cfg;
   cfg.interp = interp;
+  obs::Recorder rec(path, gen::traceHeaderOf("recorder_test", "bicmos1u",
+                                             tech::bicmos1u(), cfg));
   cfg.recorder = &rec;
   gen::BatchEngine engine(tech::bicmos1u(), cfg);
   std::vector<gen::Job> jobs;
@@ -281,20 +309,21 @@ TEST(Replay, CleanUnderRecordedConfiguration) {
 }
 
 TEST(Replay, DigestsAreStableAcrossEngines) {
-  // A VM recording must replay cleanly on the tree walker and vice versa:
-  // the engines are byte-identical by contract, and the digest only hashes
-  // behavioral fields.
-  const obs::TraceFile vmTrace = recordSweep(
+  // Recordings under the two engines compare clean record by record, and
+  // each replays cleanly on the other engine (replay runs under the engine
+  // the header records): the engines are byte-identical by contract, and
+  // the digest only hashes behavioral fields.
+  obs::TraceFile vmTrace = recordSweep(
       lang::Engine::Vm, ::testing::TempDir() + "replay_x_vm.amgt");
-  gen::ReplayOptions onTree;
-  onTree.interp = lang::Engine::Tree;
-  EXPECT_TRUE(gen::replayTrace(vmTrace, tech::bicmos1u(), onTree).clean());
-
-  const obs::TraceFile treeTrace = recordSweep(
+  obs::TraceFile treeTrace = recordSweep(
       lang::Engine::Tree, ::testing::TempDir() + "replay_x_tree.amgt");
-  gen::ReplayOptions onVm;
-  onVm.interp = lang::Engine::Vm;
-  EXPECT_TRUE(gen::replayTrace(treeTrace, tech::bicmos1u(), onVm).clean());
+  EXPECT_EQ(vmTrace.header.interp, 1);
+  EXPECT_EQ(treeTrace.header.interp, 0);
+  EXPECT_TRUE(gen::compareTraces(vmTrace, treeTrace).clean());
+
+  std::swap(vmTrace.header.interp, treeTrace.header.interp);
+  EXPECT_TRUE(gen::replayTrace(vmTrace, tech::bicmos1u()).clean());
+  EXPECT_TRUE(gen::replayTrace(treeTrace, tech::bicmos1u()).clean());
 }
 
 TEST(Replay, CacheDisabledReplayStillMatches) {
